@@ -11,7 +11,10 @@
 //
 // The golden fixture (tests/data/plan_tiers_golden.json) freezes fast-tier
 // objective values at 17 significant digits; compared at 1e-9 relative
-// tolerance to absorb cross-arch -march=native drift. Regenerate with
+// tolerance to absorb cross-arch -march=native drift. A second fixture
+// (tests/data/plan_kernel_golden.json) freezes per-flow y and solver
+// counters of both tiers, monolithic and decomposed, on the separable
+// city. Regenerate both with
 //   MESHOPT_REGEN_GOLDEN=1 ./test_plan_tiers
 
 #include <cmath>
@@ -29,6 +32,7 @@
 #include "core/planner.h"
 #include "core/rate_plan.h"
 #include "core/snapshot.h"
+#include "opt/decompose.h"
 #include "probe/live_source.h"
 #include "scenario/topologies.h"
 #include "scenario/workbench.h"
@@ -484,6 +488,135 @@ TEST(PlanTiers, GoldenFastTierObjectives) {
     // real change to the fast tier's arithmetic.
     EXPECT_NEAR(computed[i].objective, want, 1e-9 * std::abs(want))
         << computed[i].name;
+  }
+}
+
+// ---------------------------------------------- plan-kernel golden fixture
+
+std::string kernel_golden_path() {
+  return std::string(MESHOPT_SOURCE_DIR) +
+         "/tests/data/plan_kernel_golden.json";
+}
+
+struct KernelGoldenEntry {
+  std::string name;
+  std::vector<double> y;
+  int iterations = 0;
+  int pricing_rounds = 0;
+  int extreme_points = 0;
+};
+
+/// Every tier × front end × objective on the separable city of
+/// test_decompose.cpp (3 clusters of 5 links, 2 bridge links), over two
+/// capacity-drift rounds so the fast tier's carried columns and basis are
+/// pinned too. Freezes per-flow y plus the solver counters, so a change to
+/// any planning path — exact or fast, monolithic or decomposed — shows.
+std::vector<KernelGoldenEntry> compute_kernel_golden_entries() {
+  CityParams p;
+  p.clusters = 3;
+  p.links_per_cluster = 5;
+  p.bridge_links = 2;
+  p.flows_per_cluster = 2;
+  p.seed = 7;
+  const std::vector<FlowSpec> flows = city_flows(p);
+  std::vector<KernelGoldenEntry> out;
+  for (const PlanTier tier : {PlanTier::kExact, PlanTier::kFast}) {
+    for (const bool decompose : {false, true}) {
+      for (const ObjectiveCase& oc : objective_cases()) {
+        PlanConfig cfg;
+        cfg.optimizer = oc.cfg;
+        cfg.tier = tier;
+        Planner mono(4);
+        DecomposedPlanner decomposed;
+        MeasurementSnapshot snap = build_city_snapshot(p);
+        RngStream drift(23, "kernel-golden");
+        for (int round = 0; round < 2; ++round) {
+          if (round > 0)
+            for (SnapshotLink& l : snap.links)
+              l.estimate.capacity_bps *= drift.uniform(0.9, 1.1);
+          const RatePlan plan =
+              decompose ? decomposed.plan(snap, InterferenceModelKind::kLirTable,
+                                          flows, cfg)
+                        : mono.plan(snap, InterferenceModelKind::kLirTable,
+                                    flows, cfg);
+          KernelGoldenEntry e;
+          e.name = std::string(tier == PlanTier::kExact ? "exact" : "fast") +
+                   (decompose ? "-decomposed-" : "-monolithic-") + oc.name +
+                   "-r" + std::to_string(round);
+          if (plan.ok) e.y = plan.y;
+          e.iterations = plan.optimizer_iterations;
+          e.pricing_rounds = plan.pricing_rounds;
+          e.extreme_points = plan.extreme_points;
+          out.push_back(std::move(e));
+        }
+      }
+    }
+  }
+  return out;
+}
+
+void write_kernel_golden(const std::vector<KernelGoldenEntry>& entries) {
+  std::string doc = "{\n  \"cases\": [\n";
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const KernelGoldenEntry& e = entries[i];
+    doc += "    {\"name\": ";
+    json_append_string(doc, e.name);
+    doc += ", \"iterations\": ";
+    json_append_int(doc, e.iterations);
+    doc += ", \"pricing_rounds\": ";
+    json_append_int(doc, e.pricing_rounds);
+    doc += ", \"extreme_points\": ";
+    json_append_int(doc, e.extreme_points);
+    doc += ", \"y\": [";
+    for (std::size_t f = 0; f < e.y.size(); ++f) {
+      if (f > 0) doc += ", ";
+      json_append_double(doc, e.y[f]);
+    }
+    doc += i + 1 < entries.size() ? "]},\n" : "]}\n";
+  }
+  doc += "  ]\n}\n";
+  std::ofstream out(kernel_golden_path());
+  ASSERT_TRUE(out.is_open()) << kernel_golden_path();
+  out << doc;
+}
+
+TEST(PlanTiers, GoldenKernelPlans) {
+  const std::vector<KernelGoldenEntry> computed =
+      compute_kernel_golden_entries();
+  ASSERT_EQ(computed.size(), 32u);  // 2 tiers × 2 front ends × 4 × 2 rounds
+  for (const KernelGoldenEntry& e : computed)
+    EXPECT_FALSE(e.y.empty()) << e.name << ": plan failed";
+
+  if (std::getenv("MESHOPT_REGEN_GOLDEN") != nullptr) {
+    write_kernel_golden(computed);
+    GTEST_SKIP() << "regenerated " << kernel_golden_path();
+  }
+
+  std::ifstream in(kernel_golden_path());
+  ASSERT_TRUE(in.is_open())
+      << kernel_golden_path()
+      << " missing; regenerate with MESHOPT_REGEN_GOLDEN=1 ./test_plan_tiers";
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const JsonValue doc = JsonValue::parse(buf.str());
+  const std::vector<JsonValue>& cases = doc.at("cases").items();
+  ASSERT_EQ(cases.size(), computed.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const KernelGoldenEntry& e = computed[i];
+    EXPECT_EQ(cases[i].at("name").as_string(), e.name);
+    EXPECT_EQ(cases[i].at("iterations").as_number(), e.iterations) << e.name;
+    EXPECT_EQ(cases[i].at("pricing_rounds").as_number(), e.pricing_rounds)
+        << e.name;
+    EXPECT_EQ(cases[i].at("extreme_points").as_number(), e.extreme_points)
+        << e.name;
+    const std::vector<JsonValue>& y = cases[i].at("y").items();
+    ASSERT_EQ(y.size(), e.y.size()) << e.name;
+    for (std::size_t f = 0; f < y.size(); ++f) {
+      // Same 1e-9 relative tolerance as the fast-tier objective golden.
+      const double want = y[f].as_number();
+      EXPECT_NEAR(e.y[f], want, 1e-9 * std::abs(want))
+          << e.name << " flow " << f;
+    }
   }
 }
 
