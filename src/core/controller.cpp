@@ -420,7 +420,7 @@ RoundResult MeshController::guarded_step(MeasurementSnapshot snap) {
     ObsSpan plan_span(obs_, ObsStage::kPlan);
     plan =
         planner_.plan(snapshot_, cfg_.interference, flow_specs(), cfg_.plan(),
-                      /*mis_cap=*/200000, /*cacheable=*/clean);
+                      kMisCap, /*cacheable=*/clean);
     plan_span.payload(
         (static_cast<std::uint64_t>(
              static_cast<std::uint32_t>(plan.extreme_points))

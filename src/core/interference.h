@@ -53,7 +53,7 @@ class InterferenceModel {
   /// cached two-stage path is bit-identical by construction.
   [[nodiscard]] static InterferenceModel build(const MeasurementSnapshot& snap,
                                                InterferenceModelKind kind,
-                                               std::size_t mis_cap = 200000);
+                                               std::size_t mis_cap = kMisCap);
 
   /// Topology stage on its own: conflict graph + MIS row enumeration.
   /// This is the expensive half (Bron–Kerbosch, ~1 ms at MIS/80 scale —
@@ -61,7 +61,7 @@ class InterferenceModel {
   /// the snapshot's topology_fingerprint().
   [[nodiscard]] static InterferenceTopology build_topology(
       const MeasurementSnapshot& snap, InterferenceModelKind kind,
-      std::size_t mis_cap = 200000);
+      std::size_t mis_cap = kMisCap);
 
   /// Capacity stage: refill the extreme-point matrix from cached MIS rows
   /// and fresh capacity estimates (bits/s, in the topology's link order).

@@ -85,7 +85,7 @@ class Planner {
   /// topology.
   const InterferenceModel& model(const MeasurementSnapshot& snap,
                                  InterferenceModelKind kind,
-                                 std::size_t mis_cap = 200000,
+                                 std::size_t mis_cap = kMisCap,
                                  bool cacheable = true);
 
   /// model() + plan_rates() in one call — the whole pure half of a
@@ -104,7 +104,7 @@ class Planner {
                               InterferenceModelKind kind,
                               const std::vector<FlowSpec>& flows,
                               const PlanConfig& cfg,
-                              std::size_t mis_cap = 200000,
+                              std::size_t mis_cap = kMisCap,
                               bool cacheable = true);
 
   /// Fast-tier warm state of the entry that served the most recent

@@ -64,10 +64,16 @@ RatePlan plan_rates(const MeasurementSnapshot& snapshot,
   plan.objective_value = opt.objective_value;
   plan.columns_generated = opt.columns_used;
   plan.pricing_rounds = opt.pricing_rounds;
-  plan.y = opt.y;
+  plan.y = std::move(opt.y);
+  fill_input_rates(snapshot, flows, cfg, plan);
+  return plan;
+}
+
+void fill_input_rates(const MeasurementSnapshot& snapshot,
+                      const std::vector<FlowSpec>& flows,
+                      const PlanConfig& cfg, RatePlan& plan) {
   plan.x.resize(flows.size(), 0.0);
   plan.shapers.reserve(flows.size());
-
   for (std::size_t s = 0; s < flows.size(); ++s) {
     const FlowSpec& f = flows[s];
     // Residual network-layer loss after MAC retries: p_net = p_link^R.
@@ -78,13 +84,12 @@ RatePlan plan_rates(const MeasurementSnapshot& snapshot,
       const SnapshotLink& link = snapshot.links[static_cast<std::size_t>(li)];
       deliver *= 1.0 - std::pow(link.estimate.p_link, link.retry_limit);
     }
-    double x = opt.y[s] / std::max(deliver, 1e-3);
+    double x = plan.y[s] / std::max(deliver, 1e-3);
     if (f.is_tcp) x *= tcp_ack_airtime_factor();
     x *= cfg.headroom;
     plan.x[s] = x;
     plan.shapers.push_back(ShaperProgram{f.flow_id, x});
   }
-  return plan;
 }
 
 }  // namespace meshopt

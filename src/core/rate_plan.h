@@ -99,4 +99,13 @@ struct RatePlan {
                                   const PlanConfig& cfg,
                                   ColumnGenOptimizer* warm);
 
+/// The y -> x tail of a plan: fills plan.x and plan.shapers from plan.y.
+/// Each flow's input rate compensates the residual network-layer loss of
+/// its path (p_net = p_link^R per hop, unknown hops skipped), takes the
+/// TCP ACK airtime discount for TCP flows, and is scaled by cfg.headroom.
+/// @pre plan.y.size() == flows.size().
+void fill_input_rates(const MeasurementSnapshot& snapshot,
+                      const std::vector<FlowSpec>& flows,
+                      const PlanConfig& cfg, RatePlan& plan);
+
 }  // namespace meshopt

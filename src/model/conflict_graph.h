@@ -10,6 +10,7 @@
 //   * two-hop: an edge wherever any endpoint of one link is within one
 //     hop of an endpoint of the other (the online model, Section 5.5).
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -19,6 +20,11 @@
 #include "util/dense_matrix.h"
 
 namespace meshopt {
+
+/// Default bound on the maximal independent sets enumerated from one
+/// conflict graph: a safety valve on Bron–Kerbosch output that testbed- and
+/// city-component-scale graphs stay far below.
+inline constexpr std::size_t kMisCap = 200000;
 
 /// Packed maximal-independent-set rows, in Bron–Kerbosch enumeration
 /// order: row k occupies words [k*row_words(), (k+1)*row_words()), bit j
@@ -100,7 +106,7 @@ class ConflictGraph {
   /// extreme-point matrix build. Kept for tests and casual callers; see
   /// ARCHITECTURE.md ("MIS output migration") for the mapping.
   [[nodiscard]] std::vector<std::vector<int>> maximal_independent_sets(
-      std::size_t cap = 200000) const;
+      std::size_t cap = kMisCap) const;
 
   /// Bitset-row consumer API: invoke `emit` once per maximal independent
   /// set with a packed row of row_words() uint64 words (bit j of word
@@ -112,13 +118,13 @@ class ConflictGraph {
   /// maximal_independent_sets(). `cap` bounds the number of emitted sets.
   void for_each_independent_set_row(
       const std::function<void(const std::uint64_t* bits)>& emit,
-      std::size_t cap = 200000) const;
+      std::size_t cap = kMisCap) const;
 
   /// Materialize the enumeration into a MisRowSet (rows copied in
   /// enumeration order). This is what the planner caches so constant-
   /// topology rounds skip Bron–Kerbosch entirely; one-shot consumers keep
   /// streaming through for_each_independent_set_row / the matrix bridge.
-  [[nodiscard]] MisRowSet independent_set_rows(std::size_t cap = 200000) const;
+  [[nodiscard]] MisRowSet independent_set_rows(std::size_t cap = kMisCap) const;
 
   /// Connected components via bitset BFS over the packed adjacency rows:
   /// each frontier expansion ORs whole adjacency rows, so the cost is

@@ -23,7 +23,7 @@ namespace meshopt {
 /// the enumeration order of for_each_independent_set_row().
 [[nodiscard]] DenseMatrix build_extreme_point_matrix(
     const std::vector<double>& capacities, const ConflictGraph& conflicts,
-    std::size_t cap = 200000);
+    std::size_t cap = kMisCap);
 
 /// Eq. (4) capacity stage on pre-enumerated rows: refill `out` (resized to
 /// rows.count() x capacities.size(); same-shape refills reuse capacity)

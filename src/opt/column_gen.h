@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "model/conflict_graph.h"
-#include "opt/network_optimizer.h"
+#include "opt/plan_kernel.h"
 #include "opt/simplex.h"
 #include "util/dense_matrix.h"
 
@@ -128,16 +128,19 @@ void extend_to_maximal_independent_set(const ConflictGraph& graph,
 
 /// Reusable column-generation solver for the paper's utility maximization
 /// — the fast-tier twin of NetworkOptimizer, same objectives, same result
-/// semantics. Persistent warm state carries across solve() calls: the
-/// working column set survives verbatim and the final optimal basis is
-/// re-used when the next solve's first master has the same shape, so a
-/// planner replaying a drifting-capacity trace pays the pricing oracle
-/// mostly in round one. reset() drops all warm state (a topology change
-/// must: columns are only meaningful against their conflict graph — the
-/// planner keys instances by topology entry, see core/planner.h).
+/// semantics, and the fast tier's rate region for the planning kernel
+/// (opt/plan_kernel.h): every LP it solves is a restricted master over
+/// the working column set, priced to optimality over the full region.
+/// Persistent warm state carries across solve() calls: the working column
+/// set survives verbatim and the final optimal basis is re-used when the
+/// next solve's first master has the same shape, so a planner replaying a
+/// drifting-capacity trace pays the pricing oracle mostly in round one.
+/// reset() drops all warm state (a topology change must: columns are only
+/// meaningful against their conflict graph — the planner keys instances
+/// by topology entry, see core/planner.h).
 ///
 /// Not thread-safe: one instance per thread.
-class ColumnGenOptimizer {
+class ColumnGenOptimizer final : public RegionLp {
  public:
   explicit ColumnGenOptimizer(OptimizerConfig config = {},
                               ColumnGenConfig cg = {})
@@ -146,36 +149,35 @@ class ColumnGenOptimizer {
   [[nodiscard]] const OptimizerConfig& config() const { return cfg_; }
   OptimizerConfig& config() { return cfg_; }
 
-  /// Solve one round. Same contract as NetworkOptimizer::solve, with the
-  /// rate region given implicitly by (conflicts, capacities):
-  /// result.alpha_weights has one entry per WORKING-SET column (admission
-  /// order; result.columns_used of them), not per extreme point.
+  /// Solve one round: bind(input) then optimize(*this, config()). Same
+  /// contract as NetworkOptimizer::solve, with the rate region given
+  /// implicitly by (conflicts, capacities): result.alpha_weights has one
+  /// entry per WORKING-SET column (admission order; result.columns_used of
+  /// them), not per extreme point.
   /// @pre input.conflicts != nullptr, conflicts->size() == routing.rows()
   ///      == capacities.size(); mismatches throw std::invalid_argument.
   ///      An empty dimension returns ok == false.
   [[nodiscard]] OptimizerResult solve(const ColumnGenInput& input);
+
+  /// Start a round over `input`'s region for the kernel functions: seeds
+  /// or keeps the working set and counts a solve. The decomposition tier
+  /// runs its joint Frank–Wolfe (opt/decompose.h) over bound component
+  /// regions. Same preconditions as solve(); returns false on an empty
+  /// dimension. `input` must outlive every kernel call on this region.
+  [[nodiscard]] bool bind(const ColumnGenInput& input);
 
   /// Drop all warm state: working columns, carried basis, stats keep
   /// accumulating. Required whenever the conflict graph changes identity
   /// (a different topology, not just drifted capacities).
   void reset();
 
-  /// Split-phase Frank–Wolfe support for the decomposition tier's JOINT
-  /// FW loop (opt/decompose.h): the global iterate and line search live
-  /// in the caller, while each component's linear oracle is priced here.
-  /// begin_fw_round validates the input, seeds/keeps the working set,
-  /// runs the internal max-min starting point, and builds the FW master;
-  /// the returned result is that starting point (ok == false on
-  /// degenerate input — skip the round). Call fw_oracle once per FW
-  /// iteration with the gradient over this input's flows (`first` on the
-  /// iteration that should try the carried warm basis), then
-  /// end_fw_round() to save the final basis for the next round. A plain
-  /// solve() may be interleaved only after end_fw_round.
-  [[nodiscard]] OptimizerResult begin_fw_round(const ColumnGenInput& input);
-  [[nodiscard]] LpSolution fw_oracle(const ColumnGenInput& input,
-                                     const std::vector<double>& grad,
-                                     bool first);
-  void end_fw_round();
+  LpProblem& fresh_lp(int extra_vars) override;
+  /// Solves the restricted master, then prices columns in until none has
+  /// positive reduced cost. kFirst starts from the carried basis when its
+  /// shape still fits.
+  [[nodiscard]] LpSolution solve_lp(LpStart start) override;
+  /// Carries the final vertex's basis into the next round.
+  void finish() override;
 
   [[nodiscard]] const MisRowSet& columns() const { return columns_; }
   [[nodiscard]] const ColumnGenStats& stats() const { return stats_; }
@@ -193,38 +195,16 @@ class ColumnGenOptimizer {
   void set_observer(TraceRecorder* obs) { obs_ = obs; }
 
  private:
-  struct Shape {
-    int links = 0;
-    int flows = 0;
-    double scale = 1.0;  ///< capacities normalized by this for conditioning
-  };
-  enum class Start : std::uint8_t { kCold, kWarmBasis, kResolveObjective };
-
-  void seed_columns(const ColumnGenInput& in);
+  void seed_columns();
   [[nodiscard]] bool has_column(const std::vector<std::uint64_t>& bits) const;
-  void build_master(const ColumnGenInput& in, const Shape& s, int extra_vars);
-  int append_column_to_master(const std::vector<std::uint64_t>& bits,
-                              const ColumnGenInput& in, const Shape& s);
-  [[nodiscard]] bool price_one(const ColumnGenInput& in, const Shape& s);
-  [[nodiscard]] LpSolution cg_solve(const ColumnGenInput& in, const Shape& s,
-                                    Start start);
-  void save_basis();
-  [[nodiscard]] OptimizerResult unpack(const LpSolution& sol, const Shape& s);
-
-  [[nodiscard]] OptimizerResult solve_max_throughput(const ColumnGenInput& in,
-                                                     const Shape& s);
-  [[nodiscard]] OptimizerResult solve_max_min(const ColumnGenInput& in,
-                                              const Shape& s);
-  [[nodiscard]] OptimizerResult solve_alpha_fair(const ColumnGenInput& in,
-                                                 const Shape& s, double alpha,
-                                                 int iterations,
-                                                 double tolerance);
+  void append_column(const std::vector<std::uint64_t>& bits);
+  [[nodiscard]] bool price_one();
 
   OptimizerConfig cfg_;
   ColumnGenConfig cg_;
-  LpSolver lp_;           ///< shared simplex workspace across all solves
-  LpProblem master_;      ///< restricted master, rebuilt per phase
-  int convexity_row_ = 0; ///< row index of the sum(alpha) == 1 constraint
+  LpSolver lp_;  ///< shared simplex workspace across all solves
+  const ColumnGenInput* in_ = nullptr;  ///< the bound input
+  int links_ = 0;                       ///< of the bound input
 
   MisRowSet columns_;       ///< working set, admission order (warm state)
   std::vector<int> warm_basis_;  ///< optimal basis of the last final master
@@ -233,9 +213,7 @@ class ColumnGenOptimizer {
 
   ColumnGenStats stats_;
   TraceRecorder* obs_ = nullptr;  ///< borrowed; see set_observer()
-  int solve_pricing_rounds_ = 0;  ///< pricing rounds in the current solve()
-  Shape fw_shape_;        ///< shape of the split-phase FW round in flight
-  bool fw_last_ok_ = false;  ///< last fw_oracle solved to optimality
+  int solve_pricing_rounds_ = 0;  ///< pricing rounds since bind()
 
   // Per-solve scratch, reused across calls.
   std::vector<double> duals_;

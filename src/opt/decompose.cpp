@@ -1,13 +1,12 @@
 #include "opt/decompose.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/obs.h"
-#include "opt/utility.h"
+#include "opt/plan_kernel.h"
 
 namespace meshopt {
 
@@ -25,12 +24,14 @@ struct CompWork {
   ColumnGenInput cg_in;
   ColumnGenOptimizer* warm = nullptr;  ///< entry-owned or `cold`
   std::unique_ptr<ColumnGenOptimizer> cold;
-  std::uint64_t pricing_before = 0;
+  ColumnGenStats before;  ///< warm's counters before this round
 
   // Exact tier.
-  LpProblem lp;  ///< joint-FW oracle constraint set
-  int region_rows = 0;
+  OptimizerInput in;
 
+  /// The component's bound region (concave objectives only): the joint
+  /// Frank–Wolfe's per-component oracle.
+  RegionLp* region = nullptr;
   OptimizerResult result;  ///< final (kMT/kMM) or FW starting point
 
   // Wall-clock enrichment of the component's phase-A job (0 unless the
@@ -38,6 +39,39 @@ struct CompWork {
   // caller after the phase barrier — disjoint, pool-safe.
   std::uint64_t obs_t0 = 0;
   std::uint64_t obs_dur = 0;
+};
+
+/// The decomposed tier's linear oracle. The rate region is the product of
+/// the components' regions and every flow lives in one component, so
+/// grad . v separates: each component's region answers for its own flows.
+class ProductOracle final : public LinearOracle {
+ public:
+  ProductOracle(std::vector<CompWork>& works, std::size_t flows)
+      : works_(works), v_(flows, 0.0) {}
+
+  const std::vector<double>* vertex(const std::vector<double>& grad,
+                                    bool first) override {
+    for (CompWork& w : works_) {
+      const std::size_t nc = w.flow_ids.size();
+      grad_c_.assign(nc, 0.0);
+      for (std::size_t i = 0; i < nc; ++i) grad_c_[i] = grad[w.flow_ids[i]];
+      const std::vector<double>* v = w.region->vertex(grad_c_, first);
+      // The monolithic solve stops when its oracle fails; so does this one
+      // when any component's does.
+      if (v == nullptr) return nullptr;
+      for (std::size_t i = 0; i < nc; ++i) v_[w.flow_ids[i]] = (*v)[i];
+    }
+    return &v_;
+  }
+
+  void finish() override {
+    for (CompWork& w : works_) w.region->finish();
+  }
+
+ private:
+  std::vector<CompWork>& works_;
+  std::vector<double> v_;       ///< the product vertex, one entry per flow
+  std::vector<double> grad_c_;  ///< one component's slice of the gradient
 };
 
 bool concave_objective(Objective o) {
@@ -159,18 +193,18 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
   // entry is the max link capacity (every link is in some maximal
   // independent set), so every per-component solve normalized by sigma
   // runs in exactly the monolithic solve's scaled units.
-  double sigma = 0.0;
+  double max_cap = 0.0;
   for (const SnapshotLink& l : snap.links)
-    sigma = std::max(sigma, l.estimate.capacity_bps);
-  if (sigma <= 0.0) sigma = 1.0;
+    max_cap = std::max(max_cap, l.estimate.capacity_bps);
+  const double sigma = region_scale(max_cap, /*scale_override=*/0.0);
 
   const bool fast = cfg.tier == PlanTier::kFast;
   const bool concave = concave_objective(cfg.optimizer.objective);
 
   // --- Phase A: per-component model + solve (poolable; disjoint state).
   // kMaxThroughput / kMaxMin solve to completion here; the concave
-  // objectives compute their max-min starting point and prepare the
-  // linear-oracle state for the joint Frank-Wolfe below.
+  // objectives bind the component's region and compute its max-min
+  // starting point for the joint Frank-Wolfe below.
   auto run_component = [&](CompWork& w) {
     const int comp = flow_comp[w.flow_ids.front()];
     Slot& slot = *slots_[static_cast<std::size_t>(comp)];
@@ -201,28 +235,24 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
       }
       w.warm->set_observer(slot.planner.observer());
       w.warm->config() = cfg.optimizer;
-      w.pricing_before = w.warm->stats().pricing_rounds;
-      w.result = concave ? w.warm->begin_fw_round(w.cg_in)
-                         : w.warm->solve(w.cg_in);
+      w.before = w.warm->stats();
+      if (!concave)
+        w.result = w.warm->solve(w.cg_in);
+      else if (w.warm->bind(w.cg_in))
+        w.region = w.warm;
     } else {
-      OptimizerInput in;
-      in.routing = std::move(routing);
-      in.extreme_points = m.extreme_points();
-      in.scale_override = sigma;
-      w.region_rows = in.extreme_points.rows();
-      if (concave) {
-        // The monolithic concave solve starts from max-min; mirror that
-        // per component, then keep the constraint set for the oracle.
-        OptimizerConfig start_cfg = cfg.optimizer;
-        start_cfg.objective = Objective::kMaxMin;
-        slot.exact.config() = start_cfg;
-        w.result = slot.exact.solve(in);
-        w.lp = build_rate_region_lp(in, sigma);
-      } else {
-        slot.exact.config() = cfg.optimizer;
-        w.result = slot.exact.solve(in);
-      }
+      w.in.routing = std::move(routing);
+      w.in.extreme_points = m.extreme_points();
+      w.in.scale_override = sigma;
+      slot.exact.config() = cfg.optimizer;
+      if (!concave)
+        w.result = slot.exact.solve(w.in);
+      else if (slot.exact.bind(w.in))
+        w.region = &slot.exact;
     }
+    // The monolithic concave solve starts from max-min; mirror that per
+    // component.
+    if (w.region != nullptr) w.result = water_fill(*w.region);
     if (obs_ != nullptr) {
       const std::uint64_t t1 = obs_->now_ns();
       w.obs_dur = t1 >= w.obs_t0 ? t1 - w.obs_t0 : 0;
@@ -262,122 +292,38 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
   for (const CompWork& w : works)
     if (!w.result.ok) return RatePlan{};
 
-  // --- Phase B: stitch (and, for concave objectives, the joint
-  // Frank-Wolfe). Runs on the calling thread in component order.
-  std::vector<double> y(num_flows, 0.0);
-  double objective_value = 0.0;
-  int fw_iterations = 0;
-
-  if (!concave) {
-    for (const CompWork& w : works)
-      for (std::size_t i = 0; i < w.flow_ids.size(); ++i)
-        y[w.flow_ids[i]] = w.result.y[i];
-    if (cfg.optimizer.objective == Objective::kMaxThroughput) {
-      for (double v : y) objective_value += v;
-    } else {
-      objective_value = *std::min_element(y.begin(), y.end());
-    }
+  // --- Phase B: stitch the component results into one global result. The
+  // concave objectives are separable but the monolithic Frank-Wolfe
+  // trajectory is not (its line search couples all flows through one step
+  // size), so they run ONE joint Frank-Wolfe over all flows whose linear
+  // oracle decomposes per component. Runs on the calling thread in
+  // component order.
+  OptimizerResult joint;
+  joint.y.assign(num_flows, 0.0);
+  for (const CompWork& w : works)
+    for (std::size_t i = 0; i < w.flow_ids.size(); ++i)
+      joint.y[w.flow_ids[i]] = w.result.y[i];
+  if (concave) {
+    ProductOracle oracle(works, num_flows);
+    joint = frank_wolfe(oracle, joint, sigma, cfg.optimizer);
+  } else if (cfg.optimizer.objective == Objective::kMaxThroughput) {
+    for (double v : joint.y) joint.objective_value += v;
   } else {
-    // One global Frank-Wolfe iterate over all flows, with the identical
-    // gradient / gap / golden-section arithmetic of the monolithic
-    // solvers; each iteration's linear oracle decomposes per component.
-    const double alpha = cfg.optimizer.objective == Objective::kProportionalFair
-                             ? 1.0
-                             : cfg.optimizer.alpha;
-    const AlphaFairUtility util(alpha, 1e-6);
-    std::vector<double> z(num_flows, 0.0);
-    std::vector<double> v(num_flows, 0.0);
-    std::vector<double> grad(num_flows, 0.0);
-    std::vector<double> grad_c;
-    for (const CompWork& w : works)
-      for (std::size_t i = 0; i < w.flow_ids.size(); ++i)
-        z[w.flow_ids[i]] = std::max(w.result.y[i] / sigma, 1e-6);
+    joint.objective_value = *std::min_element(joint.y.begin(), joint.y.end());
+  }
 
-    const auto objective_of = [&](const std::vector<double>& vec) {
-      double acc = 0.0;
-      for (std::size_t f = 0; f < num_flows; ++f) acc += util.value(vec[f]);
-      return acc;
-    };
-
-    int iter = 0;
-    for (; iter < cfg.optimizer.fw_iterations; ++iter) {
-      for (std::size_t f = 0; f < num_flows; ++f)
-        grad[f] = util.gradient(z[f]);
-
-      // Linear oracle, component by component. The monolithic solver
-      // stops (keeping the current iterate) when its oracle fails;
-      // mirror that for any component's failure.
-      bool oracle_ok = true;
-      for (CompWork& w : works) {
-        const std::size_t nc = w.flow_ids.size();
-        if (fast) {
-          grad_c.assign(nc, 0.0);
-          for (std::size_t i = 0; i < nc; ++i) grad_c[i] = grad[w.flow_ids[i]];
-          const LpSolution sol =
-              w.warm->fw_oracle(w.cg_in, grad_c, /*first=*/iter == 0);
-          if (sol.status != LpStatus::kOptimal) {
-            oracle_ok = false;
-            break;
-          }
-          for (std::size_t i = 0; i < nc; ++i) v[w.flow_ids[i]] = sol.x[i];
-        } else {
-          const int comp = flow_comp[w.flow_ids.front()];
-          Slot& slot = *slots_[static_cast<std::size_t>(comp)];
-          w.lp.objective.assign(static_cast<std::size_t>(w.lp.num_vars), 0.0);
-          for (std::size_t i = 0; i < nc; ++i)
-            w.lp.objective[i] = grad[w.flow_ids[i]];
-          const LpSolution sol = iter == 0
-                                     ? slot.oracle_lp.solve(w.lp)
-                                     : slot.oracle_lp.resolve_objective(w.lp);
-          if (sol.status != LpStatus::kOptimal) {
-            oracle_ok = false;
-            break;
-          }
-          for (std::size_t i = 0; i < nc; ++i) v[w.flow_ids[i]] = sol.x[i];
-        }
-      }
-      if (!oracle_ok) break;
-
-      double gap = 0.0;
-      for (std::size_t f = 0; f < num_flows; ++f)
-        gap += grad[f] * (v[f] - z[f]);
-      if (gap <= cfg.optimizer.tolerance * (std::abs(objective_of(z)) + 1.0))
-        break;
-
-      const auto blend_obj = [&](double gamma) {
-        double acc = 0.0;
-        for (std::size_t f = 0; f < num_flows; ++f)
-          acc += util.value((1.0 - gamma) * z[f] + gamma * v[f]);
-        return acc;
-      };
-      double lo = 0.0, hi = 1.0;
-      constexpr double kGolden = 0.3819660112501051;
-      double m1 = lo + kGolden * (hi - lo), m2 = hi - kGolden * (hi - lo);
-      double f1 = blend_obj(m1), f2 = blend_obj(m2);
-      for (int it = 0; it < 40; ++it) {
-        if (f1 < f2) {
-          lo = m1;
-          m1 = m2;
-          f1 = f2;
-          m2 = hi - kGolden * (hi - lo);
-          f2 = blend_obj(m2);
-        } else {
-          hi = m2;
-          m2 = m1;
-          f2 = f1;
-          m1 = lo + kGolden * (hi - lo);
-          f1 = blend_obj(m1);
-        }
-      }
-      const double gamma = 0.5 * (lo + hi);
-      for (std::size_t f = 0; f < num_flows; ++f)
-        z[f] = (1.0 - gamma) * z[f] + gamma * v[f];
+  // A concave fast round prices in phase A and in the joint loop, so no
+  // single interval covers a component's pricing: report it as one event
+  // per component, in component order, with solve()'s code and payload.
+  if (fast && concave && obs_ != nullptr) {
+    for (const CompWork& w : works) {
+      const ColumnGenStats& now = w.warm->stats();
+      obs_->emit(ObsStage::kPricing, ObsKind::kEvent,
+                 now.warm_starts > w.before.warm_starts ? ObsCode::kWarmStart
+                                                        : ObsCode::kColdStart,
+                 now.pricing_rounds - w.before.pricing_rounds,
+                 now.columns_admitted - w.before.columns_admitted);
     }
-    fw_iterations = iter;
-    for (std::size_t f = 0; f < num_flows; ++f) y[f] = z[f] * sigma;
-    objective_value = objective_of(z);
-    if (fast)
-      for (CompWork& w : works) w.warm->end_fw_round();
   }
 
   // --- Phase C: one RatePlan with the monolithic metadata conventions
@@ -385,48 +331,20 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
   RatePlan plan;
   plan.ok = true;
   plan.tier = cfg.tier;
-  plan.optimizer_iterations = fw_iterations;
-  plan.objective_value = objective_value;
-  if (fast) {
-    int cols = 0;
-    int pricing = 0;
-    for (const CompWork& w : works) {
-      if (concave) {
-        cols += w.warm->columns().count();
-        pricing += static_cast<int>(w.warm->stats().pricing_rounds -
-                                    w.pricing_before);
-      } else {
-        cols += w.result.columns_used;
-        pricing += w.result.pricing_rounds;
-      }
+  plan.optimizer_iterations = joint.iterations;
+  plan.objective_value = joint.objective_value;
+  for (const CompWork& w : works) {
+    if (fast) {
+      plan.extreme_points += w.warm->columns().count();
+      plan.pricing_rounds += static_cast<int>(w.warm->stats().pricing_rounds -
+                                              w.before.pricing_rounds);
+    } else {
+      plan.extreme_points += w.in.extreme_points.rows();
     }
-    plan.extreme_points = cols;
-    plan.columns_generated = cols;
-    plan.pricing_rounds = pricing;
-  } else {
-    int region = 0;
-    for (const CompWork& w : works) region += w.region_rows;
-    plan.extreme_points = region;
   }
-  plan.y = y;
-  plan.x.resize(num_flows, 0.0);
-  plan.shapers.reserve(num_flows);
-  for (std::size_t s = 0; s < num_flows; ++s) {
-    const FlowSpec& f = flows[s];
-    // Residual network-layer loss after MAC retries: p_net = p_link^R.
-    double deliver = 1.0;
-    for (std::size_t h = 0; h + 1 < f.path.size(); ++h) {
-      const int li = snap.link_index(f.path[h], f.path[h + 1]);
-      if (li < 0) continue;
-      const SnapshotLink& link = snap.links[static_cast<std::size_t>(li)];
-      deliver *= 1.0 - std::pow(link.estimate.p_link, link.retry_limit);
-    }
-    double x = plan.y[s] / std::max(deliver, 1e-3);
-    if (f.is_tcp) x *= tcp_ack_airtime_factor();
-    x *= cfg.headroom;
-    plan.x[s] = x;
-    plan.shapers.push_back(ShaperProgram{f.flow_id, x});
-  }
+  if (fast) plan.columns_generated = plan.extreme_points;
+  plan.y = std::move(joint.y);
+  fill_input_rates(snap, flows, cfg, plan);
   return plan;
 }
 

@@ -34,12 +34,11 @@
 //   * kProportionalFair / kAlphaFair — the OBJECTIVE is separable but the
 //     monolithic Frank–Wolfe trajectory is not: its line search couples
 //     all flows through one step size. The decomposed solve therefore
-//     runs ONE joint Frank–Wolfe loop over the global iterate (identical
-//     gradient, gap, and golden-section arithmetic to the monolithic
-//     tiers) and answers each iteration's linear oracle per component —
-//     exact-tier components via their full extreme-point LPs, fast-tier
-//     components via their entry-owned column-generation masters
-//     (ColumnGenOptimizer::begin_fw_round/fw_oracle/end_fw_round).
+//     runs the planning kernel's one frank_wolfe (opt/plan_kernel.h) over
+//     the global iterate, against the product of the components' regions
+//     as its linear oracle: each component binds its region — the full
+//     extreme-point LP (exact tier) or its entry-owned column-generation
+//     master (fast tier) — and answers for its own flows.
 //
 // Determinism contract: a decomposed plan is a deterministic function of
 // (snapshot, flows, config, partition state), bit-identical across pool
@@ -71,7 +70,6 @@
 #include "model/conflict_graph.h"
 #include "opt/column_gen.h"
 #include "opt/network_optimizer.h"
-#include "opt/simplex.h"
 #include "sweep/sweep_runner.h"
 
 namespace meshopt {
@@ -126,7 +124,7 @@ class DecomposedPlanner {
                               InterferenceModelKind kind,
                               const std::vector<FlowSpec>& flows,
                               const PlanConfig& cfg,
-                              std::size_t mis_cap = 200000,
+                              std::size_t mis_cap = kMisCap,
                               bool cacheable = true);
 
   [[nodiscard]] const DecomposeStats& stats() const { return stats_; }
@@ -158,10 +156,12 @@ class DecomposedPlanner {
   /// cross-component) and plan through the observed monolithic planner;
   /// decomposed rounds emit one kComponentSolve span per active component
   /// (a = component id, b = (links << 32) | flows) in component order on
-  /// the calling thread. Component-slot planners (cache/model/pricing
-  /// records) are observed only when phase A runs serially — pool jobs
-  /// must not share the single-owner recorder, so a pooled round keeps
-  /// the per-component solve spans but drops the slot-level detail.
+  /// the calling thread, and concave fast-tier rounds add one kPricing
+  /// event per active component the same way (warm/cold code, a = pricing
+  /// rounds, b = columns admitted). Component-slot planners (cache/model/
+  /// pricing records) are observed only when phase A runs serially — pool
+  /// jobs must not share the single-owner recorder, so a pooled round
+  /// keeps the caller-side records but drops the slot-level detail.
   void set_observer(TraceRecorder* obs) {
     obs_ = obs;
     fallback_.set_observer(obs);
@@ -176,8 +176,7 @@ class DecomposedPlanner {
   struct Slot {
     std::vector<int> members;  ///< global link ids, ascending
     Planner planner;
-    NetworkOptimizer exact;
-    LpSolver oracle_lp;  ///< exact-tier joint-FW oracle workspace
+    NetworkOptimizer exact;  ///< exact-tier solver and region
 
     Slot(std::vector<int> m, std::size_t cache)
         : members(std::move(m)), planner(cache) {}

@@ -1,47 +1,22 @@
 #pragma once
-// The paper's optimization problem (Section 6.1):
-//
-//   maximize   sum_s U(y_s)
-//   subject to sum_s R_ls y_s <= sum_k alpha_k c_kl    for every link l
-//              sum_k alpha_k = 1,  alpha >= 0,  y >= 0
-//
-// Solved with:
-//   * simplex directly for the linear objectives (max aggregate
-//     throughput),
-//   * Frank–Wolfe with an LP oracle and golden-section line search for the
-//     strictly concave alpha-fair objectives (proportional fairness etc.),
-//   * lexicographic water-filling LPs for max-min fairness (the
-//     alpha -> infinity end of the family; an extension beyond the paper's
-//     evaluated objectives).
+// The exact plan tier: the paper's optimization problem (Section 6.1) over
+// the full-K extreme-point rate region, solved by the planning kernel
+// (opt/plan_kernel.h) — simplex for max throughput, water-filling LPs for
+// max-min fairness (the alpha -> infinity end of the family; an extension
+// beyond the paper's evaluated objectives), and Frank–Wolfe for the
+// strictly concave alpha-fair objectives.
 //
 // All matrices are flat row-major DenseMatrix: the routing matrix is
 // L x S, the extreme-point matrix K x L, and both flow into the LP
 // constraint matrix without per-row heap allocations.
 
-#include <cstdint>
 #include <vector>
 
+#include "opt/plan_kernel.h"
 #include "opt/simplex.h"
-#include "opt/utility.h"
 #include "util/dense_matrix.h"
 
 namespace meshopt {
-
-/// Which point of the alpha-fair utility family to optimize.
-enum class Objective : std::uint8_t {
-  kMaxThroughput,      ///< alpha = 0: maximize sum of flow rates
-  kProportionalFair,   ///< alpha = 1: maximize sum of log(y_s)
-  kAlphaFair,          ///< arbitrary alpha (OptimizerConfig::alpha)
-  kMaxMin,             ///< alpha -> infinity: lexicographic max-min
-};
-
-/// Tuning knobs for NetworkOptimizer / optimize_rates.
-struct OptimizerConfig {
-  Objective objective = Objective::kProportionalFair;
-  double alpha = 1.0;       ///< exponent used when objective == kAlphaFair
-  int fw_iterations = 300;  ///< Frank–Wolfe iteration cap
-  double tolerance = 1e-4;  ///< relative FW duality-gap stop criterion
-};
 
 /// Inputs to one optimization round.
 ///
@@ -65,37 +40,23 @@ struct OptimizerInput {
   double scale_override = 0.0;
 };
 
-/// One optimization round's output.
-struct OptimizerResult {
-  bool ok = false;                    ///< false: empty/degenerate input or
-                                      ///< infeasible LP
-  std::vector<double> y;              ///< per-flow rates (bits/s), length S
-  std::vector<double> alpha_weights;  ///< convex weights over extreme
-                                      ///< points, length K, sum to 1
-  double objective_value = 0.0;       ///< attained utility (objective units)
-  int iterations = 0;                 ///< Frank–Wolfe iterations used
-  int columns_used = 0;    ///< column generation only: working-set size the
-                           ///< restricted master finished with (0 for the
-                           ///< exact full-K solver)
-  int pricing_rounds = 0;  ///< column generation only: pricing-oracle
-                           ///< invocations across the solve
-};
-
-/// Reusable solver for the paper's utility maximization.
+/// Reusable solver for the paper's utility maximization over a full-K
+/// extreme-point region.
 ///
 /// Owns the LP workspace (constraint matrix + simplex tableau), so a
 /// controller calling solve() every probe round — or Frank–Wolfe issuing
 /// hundreds of LP-oracle calls per solve — re-uses one set of buffers
 /// instead of reallocating per solve. Not thread-safe: use one instance
 /// per thread (SweepRunner jobs each construct their own).
-class NetworkOptimizer {
+class NetworkOptimizer final : public RegionLp {
  public:
   explicit NetworkOptimizer(OptimizerConfig config = {}) : cfg_(config) {}
 
   [[nodiscard]] const OptimizerConfig& config() const { return cfg_; }
   OptimizerConfig& config() { return cfg_; }
 
-  /// Solve one round over the given rate region and routing.
+  /// Solve one round over the given rate region and routing: bind(input)
+  /// then optimize(*this, config()).
   ///
   /// @pre  input.routing is L x S with L, S >= 1 and entries >= 0;
   ///       input.extreme_points is K x L with K >= 1 and entries >= 0
@@ -109,23 +70,19 @@ class NetworkOptimizer {
   ///       may be reused with different shapes.
   [[nodiscard]] OptimizerResult solve(const OptimizerInput& input);
 
+  /// Make `input`'s region the one the kernel functions solve over. Same
+  /// preconditions as solve(); returns false on an empty dimension.
+  /// `input` must outlive every kernel call on this region.
+  [[nodiscard]] bool bind(const OptimizerInput& input);
+
+  LpProblem& fresh_lp(int extra_vars) override;
+  [[nodiscard]] LpSolution solve_lp(LpStart start) override;
+
  private:
   OptimizerConfig cfg_;
-  LpSolver lp_;  ///< shared simplex workspace across all internal solves
+  LpSolver solver_;  ///< shared simplex workspace across all internal solves
+  const OptimizerInput* in_ = nullptr;  ///< the bound input
 };
-
-/// Build the shared rate-region constraint set over variables
-/// (y_0..y_{S-1}, alpha_0..alpha_{K-1}[, extras]) with capacities
-/// normalized by `scale`: per-link Le rows coupling flows to extreme
-/// points, the convexity Eq row, and unit caps on unrouted flows.
-/// `extra_vars` appends zero-coefficient variables (max-min's water-level
-/// variable t). This is the exact problem NetworkOptimizer builds
-/// internally, exposed so the decomposition tier's joint Frank–Wolfe can
-/// run per-component oracles over identical constraint sets (see
-/// opt/decompose.h).
-[[nodiscard]] LpProblem build_rate_region_lp(const OptimizerInput& in,
-                                             double scale,
-                                             int extra_vars = 0);
 
 /// One-shot convenience wrapper: NetworkOptimizer(config).solve(input).
 [[nodiscard]] OptimizerResult optimize_rates(const OptimizerInput& input,

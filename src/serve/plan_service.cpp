@@ -226,10 +226,10 @@ ServeBatchReport PlanService::run_batch(long long tick) {
                                      bool cacheable) {
           return s.decomposed
                      ? s.decomposed->plan(snap, s.cfg.interference,
-                                          s.cfg.flows, s.cfg.plan, 200000,
+                                          s.cfg.flows, s.cfg.plan, kMisCap,
                                           cacheable)
                      : s.planner.plan(snap, s.cfg.interference, s.cfg.flows,
-                                      s.cfg.plan, 200000, cacheable);
+                                      s.cfg.plan, kMisCap, cacheable);
         };
         bool guard_rejected = false;
         {

@@ -163,7 +163,7 @@ struct ReplayOptions {
   /// default matches Planner::plan). City-scale monolithic cells cap the
   /// exponential MIS space here; the decomposed tier enumerates per
   /// component and rarely comes near it.
-  std::size_t mis_cap = 200000;
+  std::size_t mis_cap = kMisCap;
   /// How replay_file() treats a corrupt mid-trace record (bit rot, a
   /// crashed recorder's tail): kThrow propagates the codec error,
   /// kSkipAndCount skips damaged records and replays what survives (see

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/planner.h"
+#include "obs/obs.h"
 #include "scenario/topologies.h"
 #include "serve/plan_service.h"
 #include "sweep/controller_fleet.h"
@@ -156,6 +157,58 @@ TEST(Decompose, BitIdenticalAcrossPoolThreadCountsAndRuns) {
   EXPECT_EQ(a.stats().decomposed_rounds, 3u);
   EXPECT_EQ(a.stats().partition_rebuilds, 1u);
   EXPECT_EQ(a.stats().components_planned, 9u);  // 3 active comps x 3 rounds
+}
+
+TEST(Decompose, ConcaveFastRoundsReportPricingPerComponent) {
+  // A PF / alpha-fair fast round prices in phase A and in the joint
+  // Frank-Wolfe loop. It reports one kPricing event per active component,
+  // in component order, whose pricing rounds sum to the plan's — on the
+  // calling thread, so serial and pooled rounds record the same events.
+  const CityParams p = small_city();
+  const std::vector<FlowSpec> flows = city_flows(p);
+  for (const Objective objective :
+       {Objective::kProportionalFair, Objective::kAlphaFair}) {
+    const PlanConfig cfg = plan_config(objective, PlanTier::kFast);
+    auto run = [&](SweepRunner* pool) {
+      TraceRecorder obs;
+      DecomposedPlanner planner({}, pool);
+      planner.set_observer(&obs);
+      std::vector<ObsRecord> pricing;
+      for (std::uint64_t r = 0; r < 2; ++r) {
+        obs.set_context(0, r);
+        MeasurementSnapshot snap = build_city_snapshot(p);
+        for (SnapshotLink& l : snap.links)
+          l.estimate.capacity_bps *= 1.0 + 0.01 * static_cast<double>(r);
+        const RatePlan plan =
+            planner.plan(snap, InterferenceModelKind::kLirTable, flows, cfg);
+        EXPECT_TRUE(plan.ok);
+        std::uint64_t rounds = 0;
+        int events = 0;
+        for (const ObsRecord& rec : obs.canonical_records(false)) {
+          if (rec.stage != ObsStage::kPricing || rec.round != r) continue;
+          EXPECT_EQ(rec.kind, ObsKind::kEvent);
+          EXPECT_EQ(rec.code, r == 0 ? ObsCode::kColdStart
+                                     : ObsCode::kWarmStart);
+          rounds += rec.a;
+          ++events;
+          pricing.push_back(rec);
+        }
+        EXPECT_EQ(events, 3) << "round " << r;  // one per active component
+        EXPECT_EQ(rounds, static_cast<std::uint64_t>(plan.pricing_rounds))
+            << "round " << r;
+      }
+      return pricing;
+    };
+    SweepRunner pool(2);
+    const std::vector<ObsRecord> serial = run(nullptr);
+    const std::vector<ObsRecord> pooled = run(&pool);
+    ASSERT_EQ(serial.size(), pooled.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(serial[i].code, pooled[i].code) << "record " << i;
+      EXPECT_EQ(serial[i].a, pooled[i].a) << "record " << i;
+      EXPECT_EQ(serial[i].b, pooled[i].b) << "record " << i;
+    }
+  }
 }
 
 TEST(Decompose, ComponentCachesStayHotUnderLocalChurn) {
