@@ -46,22 +46,21 @@ struct CompWork {
 /// grad . v separates: each component's region answers for its own flows.
 class ProductOracle final : public LinearOracle {
  public:
-  ProductOracle(std::vector<CompWork>& works, std::size_t flows)
-      : works_(works), v_(flows, 0.0) {}
+  explicit ProductOracle(std::vector<CompWork>& works) : works_(works) {}
 
-  const std::vector<double>* vertex(const std::vector<double>& grad,
-                                    bool first) override {
+  bool vertex(const std::vector<double>& grad, bool first,
+              std::vector<double>& v) override {
+    v.resize(grad.size());
     for (CompWork& w : works_) {
       const std::size_t nc = w.flow_ids.size();
       grad_c_.assign(nc, 0.0);
       for (std::size_t i = 0; i < nc; ++i) grad_c_[i] = grad[w.flow_ids[i]];
-      const std::vector<double>* v = w.region->vertex(grad_c_, first);
       // The monolithic solve stops when its oracle fails; so does this one
       // when any component's does.
-      if (v == nullptr) return nullptr;
-      for (std::size_t i = 0; i < nc; ++i) v_[w.flow_ids[i]] = (*v)[i];
+      if (!w.region->vertex(grad_c_, first, v_c_)) return false;
+      for (std::size_t i = 0; i < nc; ++i) v[w.flow_ids[i]] = v_c_[i];
     }
-    return &v_;
+    return true;
   }
 
   void finish() override {
@@ -70,8 +69,8 @@ class ProductOracle final : public LinearOracle {
 
  private:
   std::vector<CompWork>& works_;
-  std::vector<double> v_;       ///< the product vertex, one entry per flow
   std::vector<double> grad_c_;  ///< one component's slice of the gradient
+  std::vector<double> v_c_;     ///< one component's vertex
 };
 
 bool concave_objective(Objective o) {
@@ -304,7 +303,7 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
     for (std::size_t i = 0; i < w.flow_ids.size(); ++i)
       joint.y[w.flow_ids[i]] = w.result.y[i];
   if (concave) {
-    ProductOracle oracle(works, num_flows);
+    ProductOracle oracle(works);
     joint = frank_wolfe(oracle, joint, sigma, cfg.optimizer);
   } else if (cfg.optimizer.objective == Objective::kMaxThroughput) {
     for (double v : joint.y) joint.objective_value += v;

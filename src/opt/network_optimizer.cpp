@@ -7,9 +7,9 @@ namespace meshopt {
 
 bool NetworkOptimizer::bind(const OptimizerInput& input) {
   const int links = input.routing.rows();
-  flows_ = input.routing.cols();
+  const int flows = input.routing.cols();
   const int points = input.extreme_points.rows();
-  if (flows_ == 0 || points == 0 || links == 0) return false;
+  if (flows == 0 || points == 0 || links == 0) return false;
   if (input.extreme_points.cols() != links)
     throw std::invalid_argument("extreme point arity != link count");
   double max_cap = 0.0;
@@ -18,7 +18,7 @@ bool NetworkOptimizer::bind(const OptimizerInput& input) {
                             static_cast<std::size_t>(links);
   for (std::size_t i = 0; i < total; ++i) max_cap = std::max(max_cap, p[i]);
   scale_ = region_scale(max_cap, input.scale_override);
-  vertex_ok_ = false;
+  flows_ = flows;
   in_ = &input;
   return true;
 }

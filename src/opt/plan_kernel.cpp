@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "opt/utility.h"
 
@@ -83,16 +84,17 @@ void RegionLp::build_region(const DenseMatrix& routing, int columns,
   }
 }
 
-const std::vector<double>* RegionLp::vertex(const std::vector<double>& grad,
-                                            bool first) {
+bool RegionLp::vertex(const std::vector<double>& grad, bool first,
+                      std::vector<double>& v) {
   if (first) fresh_lp(/*extra_vars=*/0);
   problem_.objective.assign(static_cast<std::size_t>(problem_.num_vars), 0.0);
   for (int f = 0; f < flows_; ++f)
     problem_.objective[static_cast<std::size_t>(f)] =
         grad[static_cast<std::size_t>(f)];
-  vertex_ = solve_lp(first ? LpStart::kFirst : LpStart::kResolve);
-  vertex_ok_ = vertex_.status == LpStatus::kOptimal;
-  return vertex_ok_ ? &vertex_.x : nullptr;
+  LpSolution sol = solve_lp(first ? LpStart::kFirst : LpStart::kResolve);
+  vertex_ok_ = sol.status == LpStatus::kOptimal;
+  if (vertex_ok_) v = std::move(sol.x);
+  return vertex_ok_;
 }
 
 double region_scale(double max_capacity, double scale_override) {
@@ -103,16 +105,17 @@ double region_scale(double max_capacity, double scale_override) {
 OptimizerResult max_throughput(RegionLp& region) {
   const int flows = region.flows();
   const std::vector<double> ones(static_cast<std::size_t>(flows), 1.0);
-  const std::vector<double>* v = region.vertex(ones, /*first=*/true);
+  std::vector<double> v;
+  const bool ok = region.vertex(ones, /*first=*/true, v);
   region.finish();
   OptimizerResult r;
-  if (v == nullptr) return r;
+  if (!ok) return r;
   r.ok = true;
   r.y.resize(static_cast<std::size_t>(flows));
   for (int f = 0; f < flows; ++f)
     r.y[static_cast<std::size_t>(f)] =
-        (*v)[static_cast<std::size_t>(f)] * region.scale();
-  r.alpha_weights.assign(v->begin() + flows, v->end());
+        v[static_cast<std::size_t>(f)] * region.scale();
+  r.alpha_weights.assign(v.begin() + flows, v.end());
   for (double y : r.y) r.objective_value += y;
   return r;
 }
@@ -234,27 +237,26 @@ OptimizerResult frank_wolfe(LinearOracle& oracle, const OptimizerResult& start,
             z.begin() + flows);
 
   std::vector<double> grad(static_cast<std::size_t>(flows), 0.0);
+  std::vector<double> v;  // the oracle's vertex
   int iter = 0;
   for (; iter < cfg.fw_iterations; ++iter) {
     for (int f = 0; f < flows; ++f)
       grad[static_cast<std::size_t>(f)] =
           util.gradient(z[static_cast<std::size_t>(f)]);
-    const std::vector<double>* v = oracle.vertex(grad, /*first=*/iter == 0);
-    if (v == nullptr) break;
-    if (z.size() < v->size()) z.resize(v->size(), 0.0);
+    if (!oracle.vertex(grad, /*first=*/iter == 0, v)) break;
+    if (z.size() < v.size()) z.resize(v.size(), 0.0);
 
     // FW gap (scaled): grad . (v - z).
     double gap = 0.0;
     for (int f = 0; f < flows; ++f)
       gap += grad[static_cast<std::size_t>(f)] *
-             ((*v)[static_cast<std::size_t>(f)] -
-              z[static_cast<std::size_t>(f)]);
+             (v[static_cast<std::size_t>(f)] - z[static_cast<std::size_t>(f)]);
     if (gap <= cfg.tolerance * (std::abs(utility_sum(util, z, flows)) + 1.0))
       break;
 
-    const double gamma = line_search(util, z, *v, flows);
+    const double gamma = line_search(util, z, v, flows);
     for (std::size_t j = 0; j < z.size(); ++j)
-      z[j] = (1.0 - gamma) * z[j] + gamma * (*v)[j];
+      z[j] = (1.0 - gamma) * z[j] + gamma * v[j];
   }
   oracle.finish();
 

@@ -77,13 +77,12 @@ enum class LpStart : std::uint8_t {
 /// Linear maximization over a rate region, in scaled units.
 class LinearOracle {
  public:
-  /// The region vertex v maximizing grad . v, with `grad` one entry per
-  /// flow. v holds the flow rates first, then any schedule weights the
-  /// oracle keeps (their count may grow from call to call); nullptr when
-  /// the LP fails. `first` marks the first call of a solve. The vector
-  /// stays valid until the next call.
-  [[nodiscard]] virtual const std::vector<double>* vertex(
-      const std::vector<double>& grad, bool first) = 0;
+  /// Write the region vertex v maximizing grad . v, with `grad` one entry
+  /// per flow: the flow rates first, then any schedule weights the oracle
+  /// keeps (their count may grow from call to call). Returns false when
+  /// the LP fails. `first` marks the first call of a solve.
+  [[nodiscard]] virtual bool vertex(const std::vector<double>& grad,
+                                    bool first, std::vector<double>& v) = 0;
 
   /// The solve is over and the last vertex() call was its final oracle.
   virtual void finish() {}
@@ -109,8 +108,8 @@ class RegionLp : public LinearOracle {
   [[nodiscard]] virtual LpSolution solve_lp(LpStart start) = 0;
 
   /// Maximizes over fresh_lp(0), built on the `first` call.
-  [[nodiscard]] const std::vector<double>* vertex(
-      const std::vector<double>& grad, bool first) override;
+  [[nodiscard]] bool vertex(const std::vector<double>& grad, bool first,
+                            std::vector<double>& v) override;
 
  protected:
   /// Reset problem_ to the region over `routing` (links x flows_) with
@@ -124,9 +123,6 @@ class RegionLp : public LinearOracle {
   double scale_ = 1.0;
   LpProblem problem_;       ///< the LP fresh_lp() builds and solve_lp() solves
   bool vertex_ok_ = false;  ///< the last vertex() solved to optimality
-
- private:
-  LpSolution vertex_;  ///< the last vertex() solution
 };
 
 /// The capacity normalization of a region whose largest capacity is
