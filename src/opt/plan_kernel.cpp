@@ -55,6 +55,25 @@ double line_search(const AlphaFairUtility& util, const std::vector<double>& z,
   return 0.5 * (lo + hi);
 }
 
+/// Maximize aggregate throughput: the vertex at gradient 1.
+OptimizerResult max_throughput(RegionLp& region) {
+  const int flows = region.flows();
+  const std::vector<double> ones(static_cast<std::size_t>(flows), 1.0);
+  std::vector<double> v;
+  const bool ok = region.vertex(ones, /*first=*/true, v);
+  region.finish();
+  OptimizerResult r;
+  if (!ok) return r;
+  r.ok = true;
+  r.y.resize(static_cast<std::size_t>(flows));
+  for (int f = 0; f < flows; ++f)
+    r.y[static_cast<std::size_t>(f)] =
+        v[static_cast<std::size_t>(f)] * region.scale();
+  r.alpha_weights.assign(v.begin() + flows, v.end());
+  for (double y : r.y) r.objective_value += y;
+  return r;
+}
+
 }  // namespace
 
 void RegionLp::build_region(const DenseMatrix& routing, int columns,
@@ -100,24 +119,6 @@ bool RegionLp::vertex(const std::vector<double>& grad, bool first,
 double region_scale(double max_capacity, double scale_override) {
   if (scale_override > 0.0) return scale_override;
   return max_capacity > 0.0 ? max_capacity : 1.0;
-}
-
-OptimizerResult max_throughput(RegionLp& region) {
-  const int flows = region.flows();
-  const std::vector<double> ones(static_cast<std::size_t>(flows), 1.0);
-  std::vector<double> v;
-  const bool ok = region.vertex(ones, /*first=*/true, v);
-  region.finish();
-  OptimizerResult r;
-  if (!ok) return r;
-  r.ok = true;
-  r.y.resize(static_cast<std::size_t>(flows));
-  for (int f = 0; f < flows; ++f)
-    r.y[static_cast<std::size_t>(f)] =
-        v[static_cast<std::size_t>(f)] * region.scale();
-  r.alpha_weights.assign(v.begin() + flows, v.end());
-  for (double y : r.y) r.objective_value += y;
-  return r;
 }
 
 OptimizerResult water_fill(RegionLp& region) {

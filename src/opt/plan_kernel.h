@@ -8,7 +8,7 @@
 //
 // and each algorithm for it is written here once, against a linear oracle
 // over the region:
-//   * max_throughput — alpha = 0, one linear maximization;
+//   * max throughput — alpha = 0, one linear maximization;
 //   * water_fill — lexicographic max-min (alpha -> infinity) by iterated
 //     water-filling LPs;
 //   * frank_wolfe — the strictly concave alpha-fair objectives: max-min
@@ -130,9 +130,6 @@ class RegionLp : public LinearOracle {
 /// passes the global scale into each component), else the max, else 1.
 [[nodiscard]] double region_scale(double max_capacity, double scale_override);
 
-/// Maximize aggregate throughput: the vertex at gradient 1.
-[[nodiscard]] OptimizerResult max_throughput(RegionLp& region);
-
 /// Lexicographic max-min by water-filling: raise a common level t over the
 /// unfixed flows, fix those that cannot rise above it, repeat; a final LP
 /// with every level pinned recovers the schedule weights.
@@ -148,8 +145,8 @@ class RegionLp : public LinearOracle {
                                           double scale,
                                           const OptimizerConfig& cfg);
 
-/// Solve cfg.objective over `region`: max_throughput, water_fill, or
-/// frank_wolfe from the water-filled start.
+/// Solve cfg.objective over `region`: max throughput (the vertex at
+/// gradient 1), water_fill, or frank_wolfe from the water-filled start.
 [[nodiscard]] OptimizerResult optimize(RegionLp& region,
                                        const OptimizerConfig& cfg);
 
