@@ -147,9 +147,12 @@ int main(int argc, char** argv) {
               worst_rel, worst_round);
 
   // Export the decomposed run's trace for Perfetto (one lane per
-  // component; synthesized deterministic timestamps keep rounds aligned).
+  // component) on the wall clock the recorder kept, so span widths show
+  // real plan time.
   {
-    const std::string json = chrome_trace_json(obs);
+    ChromeTraceOptions trace_opts;
+    trace_opts.use_wall_clock = true;
+    const std::string json = chrome_trace_json(obs, trace_opts);
     std::FILE* f = std::fopen(trace_path.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());

@@ -277,7 +277,12 @@ bool ColumnGenOptimizer::price_one() {
   stats_.oracle_nodes += nodes;
   if (truncated) ++stats_.oracle_truncated;
   const double reduced = best - mu;
-  if (reduced <= cg_.pricing_tol) return false;
+  if (reduced <= cg_.pricing_tol) {
+    // A complete search found no improving column: the master's duals
+    // hold for the full region. A truncated one proves nothing.
+    certified_ = !truncated;
+    return false;
+  }
   // Extend to a maximal set (added links carry weight >= 0, so the true
   // reduced cost only grows) — the working set then holds exactly the
   // kind of column the exact tier enumerates.
@@ -285,7 +290,8 @@ bool ColumnGenOptimizer::price_one() {
   if (has_column(cand_bits_)) {
     // The oracle re-derived a column the master already has: the duals
     // are fp-degenerate. Stop pricing rather than cycle — the working-set
-    // optimum is already within solver epsilon of the full optimum.
+    // optimum is already within solver epsilon of the full optimum, but
+    // its duals certify nothing.
     return false;
   }
   if (on_admit) {
@@ -323,6 +329,7 @@ LpSolution ColumnGenOptimizer::solve_lp(LpStart start) {
       break;
   }
   ++stats_.master_solves;
+  certified_ = false;
   int rounds = 0;
   while (sol.status == LpStatus::kOptimal && rounds < cg_.max_pricing_rounds) {
     ++rounds;
@@ -331,6 +338,11 @@ LpSolution ColumnGenOptimizer::solve_lp(LpStart start) {
     ++stats_.master_solves;
   }
   return sol;
+}
+
+bool ColumnGenOptimizer::region_duals(std::vector<double>& out) const {
+  lp_.duals(out);
+  return certified_;
 }
 
 void ColumnGenOptimizer::finish() {

@@ -176,6 +176,10 @@ class ColumnGenOptimizer final : public RegionLp {
   /// positive reduced cost. kFirst starts from the carried basis when its
   /// shape still fits.
   [[nodiscard]] LpSolution solve_lp(LpStart start) override;
+  /// Certified only when the last solve_lp()'s pricing stopped because an
+  /// untruncated oracle search found no column with positive reduced cost
+  /// — not at max_pricing_rounds, nor on a re-derived column.
+  [[nodiscard]] bool region_duals(std::vector<double>& out) const override;
   /// Carries the final vertex's basis into the next round.
   void finish() override;
 
@@ -214,6 +218,7 @@ class ColumnGenOptimizer final : public RegionLp {
   ColumnGenStats stats_;
   TraceRecorder* obs_ = nullptr;  ///< borrowed; see set_observer()
   int solve_pricing_rounds_ = 0;  ///< pricing rounds since bind()
+  bool certified_ = false;  ///< the last solve_lp() priced to a proof
 
   // Per-solve scratch, reused across calls.
   std::vector<double> duals_;

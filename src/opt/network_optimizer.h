@@ -77,6 +77,8 @@ class NetworkOptimizer final : public RegionLp {
 
   LpProblem& fresh_lp(int extra_vars) override;
   [[nodiscard]] LpSolution solve_lp(LpStart start) override;
+  /// The LP holds every extreme point, so its duals always certify.
+  [[nodiscard]] bool region_duals(std::vector<double>& out) const override;
 
  private:
   OptimizerConfig cfg_;

@@ -55,6 +55,23 @@ double line_search(const AlphaFairUtility& util, const std::vector<double>& z,
   return 0.5 * (lo + hi);
 }
 
+/// Water-filling fixes a flow at the current level without a push test
+/// when its t-LP row's dual is below minus this: well clear of simplex
+/// round-off, and far below the >= 1/flows that the largest one reaches.
+constexpr double kBottleneckDual = 1e-9;
+
+/// Complete a water-filling result whose alpha_weights are set: y is the
+/// levels in bits/s, the objective their minimum.
+OptimizerResult& finish_levels(OptimizerResult& r,
+                               const std::vector<double>& level,
+                               double scale) {
+  r.ok = true;
+  r.y.resize(level.size());
+  for (std::size_t f = 0; f < level.size(); ++f) r.y[f] = level[f] * scale;
+  r.objective_value = *std::min_element(r.y.begin(), r.y.end());
+  return r;
+}
+
 /// Maximize aggregate throughput: the vertex at gradient 1.
 OptimizerResult max_throughput(RegionLp& region) {
   const int flows = region.flows();
@@ -125,11 +142,14 @@ OptimizerResult water_fill(RegionLp& region) {
   const int flows = region.flows();
   std::vector<bool> fixed(static_cast<std::size_t>(flows), false);
   std::vector<double> level(static_cast<std::size_t>(flows), 0.0);
+  std::vector<double> duals;
+  OptimizerResult r;
 
   for (int round = 0; round < flows; ++round) {
     // Maximize t with y_f >= t for unfixed flows, y_f == level for fixed.
     LpProblem& lp = region.fresh_lp(/*extra_vars=*/1);
     const int t_var = lp.num_vars - 1;
+    const int first_flow_row = lp.num_constraints();
     lp.objective[static_cast<std::size_t>(t_var)] = 1.0;
     for (int f = 0; f < flows; ++f) {
       if (fixed[static_cast<std::size_t>(f)]) {
@@ -148,12 +168,31 @@ OptimizerResult water_fill(RegionLp& region) {
     // index from build time stays valid against the grown solution.
     const double t = sol.x[static_cast<std::size_t>(t_var)];
 
-    // Find which unfixed flows are actually capped at t: try to push each
-    // one above t while others stay >= t. Consecutive push problems are
-    // identical until a flow gets fixed, so the problem is built once per
-    // segment, only the objective entry moves between flows, and every
-    // solve after the segment's first warm-starts from the previous optimum.
+    // Fix the flows the t-LP's duals prove capped at t. With lambda_f =
+    // -dual of row y_f - t >= 0 (tightening the row lowers t, so the dual
+    // is <= 0), sum_f lambda_f y_f <= t over the region with the fixed
+    // levels held, and sum_f lambda_f >= 1 (t's reduced cost), so no flow
+    // with lambda_f > 0 can rise above t while the others stay >= t — and
+    // at least one such flow exists. The bound holds only for duals that
+    // certify the whole region.
     bool progressed = false;
+    if (region.region_duals(duals)) {
+      for (int f = 0; f < flows; ++f) {
+        if (fixed[static_cast<std::size_t>(f)]) continue;
+        if (duals[static_cast<std::size_t>(first_flow_row + f)] <
+            -kBottleneckDual) {
+          fixed[static_cast<std::size_t>(f)] = true;
+          level[static_cast<std::size_t>(f)] = t;
+          progressed = true;
+        }
+      }
+    }
+
+    // Test the rest by pushing each one above t while the others stay >= t.
+    // Consecutive push problems are identical until a flow gets fixed, so
+    // the problem is built once per segment, only the objective entry
+    // moves between flows, and every solve after the segment's first
+    // warm-starts from the previous optimum.
     bool push_stale = true;
     int prev_obj_flow = -1;
     LpProblem* push = nullptr;
@@ -197,11 +236,19 @@ OptimizerResult water_fill(RegionLp& region) {
         }
       }
     }
-    if (std::all_of(fixed.begin(), fixed.end(), [](bool b) { return b; }))
-      break;
+    if (std::all_of(fixed.begin(), fixed.end(), [](bool b) { return b; })) {
+      // This t-LP's point has every flow >= its level, so its schedule
+      // weights carry the levels. Columns a pricing oracle admitted
+      // mid-solve sit after t_var.
+      r.alpha_weights.assign(sol.x.begin() + flows, sol.x.begin() + t_var);
+      r.alpha_weights.insert(r.alpha_weights.end(), sol.x.begin() + t_var + 1,
+                             sol.x.end());
+      return finish_levels(r, level, region.scale());
+    }
   }
 
-  // Final solve with all levels pinned to recover the schedule weights.
+  // A t-LP failed: solve with every level reached so far pinned to recover
+  // the schedule weights.
   LpProblem& lp = region.fresh_lp(/*extra_vars=*/0);
   for (int f = 0; f < flows; ++f) {
     double* row = lp.add_row(Relation::kGe,
@@ -209,16 +256,9 @@ OptimizerResult water_fill(RegionLp& region) {
     row[f] = 1.0;
   }
   const LpSolution sol = region.solve_lp(LpStart::kCold);
-  OptimizerResult r;
   if (sol.status != LpStatus::kOptimal) return r;
-  r.ok = true;
-  r.y.resize(static_cast<std::size_t>(flows));
-  for (int f = 0; f < flows; ++f)
-    r.y[static_cast<std::size_t>(f)] =
-        level[static_cast<std::size_t>(f)] * region.scale();
   r.alpha_weights.assign(sol.x.begin() + flows, sol.x.end());
-  r.objective_value = *std::min_element(r.y.begin(), r.y.end());
-  return r;
+  return finish_levels(r, level, region.scale());
 }
 
 OptimizerResult frank_wolfe(LinearOracle& oracle, const OptimizerResult& start,

@@ -94,7 +94,10 @@ class LinearOracle {
 /// A rate region given as one LP over (y, schedule weights[, extras]):
 /// per-link capacity rows, the convexity row, and unit caps on flows that
 /// cross no modeled link — the exact tier's full-K matrix or the fast
-/// tier's working column set.
+/// tier's working column set. Its row duals certify bounds over the whole
+/// region when the LP covers it (exact) or its pricing proved that no
+/// left-out column improves it (fast); water-filling fixes bottleneck
+/// flows from them.
 class RegionLp : public LinearOracle {
  public:
   [[nodiscard]] int flows() const { return flows_; }
@@ -106,6 +109,11 @@ class RegionLp : public LinearOracle {
   virtual LpProblem& fresh_lp(int extra_vars) = 0;
   /// Solve the current LP.
   [[nodiscard]] virtual LpSolution solve_lp(LpStart start) = 0;
+  /// Write the row duals of the last optimal solve_lp() into `out`
+  /// (LpSolver::duals order and signs) and return whether they certify the
+  /// whole region: false when that LP ran over part of the region and
+  /// stopped without proof that no left-out schedule improves it.
+  [[nodiscard]] virtual bool region_duals(std::vector<double>& out) const = 0;
 
   /// Maximizes over fresh_lp(0), built on the `first` call.
   [[nodiscard]] bool vertex(const std::vector<double>& grad, bool first,
@@ -131,8 +139,12 @@ class RegionLp : public LinearOracle {
 [[nodiscard]] double region_scale(double max_capacity, double scale_override);
 
 /// Lexicographic max-min by water-filling: raise a common level t over the
-/// unfixed flows, fix those that cannot rise above it, repeat; a final LP
-/// with every level pinned recovers the schedule weights.
+/// unfixed flows, fix those that cannot rise above it, repeat. The t-LP's
+/// certified duals name most of the flows capped at t; only flows with a
+/// zero dual (or every unfixed flow, when the duals do not certify) get a
+/// push LP that tries to raise them above t. The schedule weights are the
+/// last t-LP's; only when a t-LP fails does one more LP, with the levels
+/// reached so far pinned, recover them.
 [[nodiscard]] OptimizerResult water_fill(RegionLp& region);
 
 /// Frank–Wolfe for the strictly concave alpha-fair objectives (alpha from

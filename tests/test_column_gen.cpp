@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "model/conflict_graph.h"
@@ -466,6 +467,94 @@ TEST(LpSolverHooks, RandomDualsSatisfyStrongDuality) {
     EXPECT_NEAR(dual_obj, sol.objective,
                 1e-8 * (1.0 + std::abs(sol.objective)))
         << "trial " << trial;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Dual certificates for water-filling
+// ---------------------------------------------------------------------------
+
+/// A 5-cycle of unit links with flows on links 2 and 4. The greedy seeds
+/// are {0,2}, {1,3}, {0,3}, {1,4}, so the master must price in {2,4}.
+FuzzInstance five_cycle() {
+  FuzzInstance inst;
+  inst.graph = ConflictGraph(5);
+  for (int l = 0; l < 5; ++l) inst.graph.add_conflict(l, (l + 1) % 5);
+  inst.in.routing = DenseMatrix(5, 2, 0.0);
+  inst.in.routing(2, 0) = 1.0;
+  inst.in.routing(4, 1) = 1.0;
+  inst.in.capacities.assign(5, 1.0e6);
+  return inst;
+}
+
+bool certified_after_solve(ColumnGenOptimizer& cg, const ColumnGenInput& in) {
+  EXPECT_TRUE(cg.solve(in).ok);
+  std::vector<double> duals;
+  return cg.region_duals(duals);
+}
+
+TEST(ColumnGenCertificate, OnlyAProvenPricingLoopCertifies) {
+  FuzzInstance inst = five_cycle();
+  inst.in.conflicts = &inst.graph;
+  const OptimizerConfig cfg{.objective = Objective::kMaxThroughput};
+
+  ColumnGenOptimizer proven(cfg);
+  EXPECT_TRUE(certified_after_solve(proven, inst.in));
+  EXPECT_EQ(proven.stats().oracle_truncated, 0u);
+
+  ColumnGenOptimizer capped(cfg, {.max_pricing_rounds = 1});
+  EXPECT_FALSE(certified_after_solve(capped, inst.in));
+  EXPECT_EQ(capped.stats().columns_admitted, 1u);  // {2,4}, then the cap
+
+  ColumnGenOptimizer truncated(cfg, {.mwis_node_cap = 1});
+  EXPECT_FALSE(certified_after_solve(truncated, inst.in));
+  EXPECT_GT(truncated.stats().oracle_truncated, 0u);
+}
+
+/// The load of every link under `r`'s y fits the capacity its weights
+/// over the working columns give the link, and the weights are convex.
+void expect_supported(const FuzzInstance& inst, const ColumnGenOptimizer& cg,
+                      const OptimizerResult& r, const std::string& what) {
+  const MisRowSet& cols = cg.columns();
+  ASSERT_EQ(r.alpha_weights.size(), static_cast<std::size_t>(cols.count()))
+      << what;
+  double wsum = 0.0;
+  for (double w : r.alpha_weights) {
+    EXPECT_GE(w, -1e-12) << what;
+    wsum += w;
+  }
+  EXPECT_NEAR(wsum, 1.0, 1e-9) << what;
+  for (int l = 0; l < inst.graph.size(); ++l) {
+    double load = 0.0, budget = 0.0;
+    for (std::size_t f = 0; f < r.y.size(); ++f)
+      load += inst.in.routing(l, static_cast<int>(f)) * r.y[f];
+    for (int k = 0; k < cols.count(); ++k)
+      if ((cols.row(k)[l >> 6] >> (l & 63) & 1) != 0)
+        budget += r.alpha_weights[static_cast<std::size_t>(k)] *
+                  inst.in.capacities[static_cast<std::size_t>(l)];
+    EXPECT_LE(load, budget + 1e-9 * 5e6) << what << " link " << l;
+  }
+}
+
+TEST(ColumnGenCertificate, CappedWaterFillStaysInsideTheRegion) {
+  // Without a certificate every unfixed flow gets a push test; the levels
+  // found must still be feasible, and no better than the proven max-min.
+  RngStream rng(89, "cg-capped-maxmin");
+  for (int trial = 0; trial < 10; ++trial) {
+    FuzzInstance inst = trial == 0 ? five_cycle()
+                                   : random_instance(rng, rng.uniform_int(8, 20),
+                                                     rng.uniform_int(2, 4));
+    inst.in.conflicts = &inst.graph;
+    const OptimizerConfig cfg{.objective = Objective::kMaxMin};
+    const std::string what = "trial " + std::to_string(trial);
+    ColumnGenOptimizer capped(cfg, {.max_pricing_rounds = 1});
+    const OptimizerResult r = capped.solve(inst.in);
+    ASSERT_TRUE(r.ok) << what;
+    expect_supported(inst, capped, r, what);
+    ColumnGenOptimizer proven(cfg);
+    const OptimizerResult best = proven.solve(inst.in);
+    ASSERT_TRUE(best.ok) << what;
+    EXPECT_LE(r.objective_value, best.objective_value * (1.0 + 1e-9)) << what;
   }
 }
 

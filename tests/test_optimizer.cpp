@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "util/rng.h"
 #include "util/stats.h"
 
 namespace meshopt {
@@ -246,6 +250,270 @@ TEST(Optimizer, BitsPerSecondScaleRobustness) {
   ASSERT_TRUE(r.ok);
   EXPECT_NEAR(r.y[1], r.y[2], 0.05e6);
   EXPECT_GT(r.y[0], 1e5);
+}
+
+// ------------------------------------- water-filling vs the push-only form
+
+/// The push-only water-filling that dual certification replaced, kept as
+/// the differential reference: every unfixed flow of every round gets a
+/// push LP, and a final LP with every level pinned recovers the schedule
+/// weights.
+OptimizerResult push_only_water_fill(RegionLp& region) {
+  const int flows = region.flows();
+  std::vector<bool> fixed(static_cast<std::size_t>(flows), false);
+  std::vector<double> level(static_cast<std::size_t>(flows), 0.0);
+
+  for (int round = 0; round < flows; ++round) {
+    LpProblem& lp = region.fresh_lp(/*extra_vars=*/1);
+    const int t_var = lp.num_vars - 1;
+    lp.objective[static_cast<std::size_t>(t_var)] = 1.0;
+    for (int f = 0; f < flows; ++f) {
+      if (fixed[static_cast<std::size_t>(f)]) {
+        double* row =
+            lp.add_row(Relation::kEq, level[static_cast<std::size_t>(f)]);
+        row[f] = 1.0;
+      } else {
+        double* row = lp.add_row(Relation::kGe, 0.0);
+        row[f] = 1.0;
+        row[t_var] = -1.0;
+      }
+    }
+    const LpSolution sol = region.solve_lp(LpStart::kCold);
+    if (sol.status != LpStatus::kOptimal) break;
+    const double t = sol.x[static_cast<std::size_t>(t_var)];
+
+    bool progressed = false;
+    bool push_stale = true;
+    int prev_obj_flow = -1;
+    LpProblem* push = nullptr;
+    for (int f = 0; f < flows; ++f) {
+      if (fixed[static_cast<std::size_t>(f)]) continue;
+      if (push_stale) {
+        push = &region.fresh_lp(/*extra_vars=*/0);
+        for (int g = 0; g < flows; ++g) {
+          if (fixed[static_cast<std::size_t>(g)]) {
+            double* row = push->add_row(Relation::kEq,
+                                        level[static_cast<std::size_t>(g)]);
+            row[g] = 1.0;
+          } else {
+            double* row = push->add_row(Relation::kGe, t);
+            row[g] = 1.0;
+          }
+        }
+        prev_obj_flow = -1;
+      }
+      if (prev_obj_flow >= 0)
+        push->objective[static_cast<std::size_t>(prev_obj_flow)] = 0.0;
+      push->objective[static_cast<std::size_t>(f)] = 1.0;
+      prev_obj_flow = f;
+      const LpSolution up = region.solve_lp(push_stale ? LpStart::kCold
+                                                       : LpStart::kResolve);
+      push_stale = false;
+      const double reach = up.status == LpStatus::kOptimal ? up.objective : t;
+      if (reach <= t + 1e-7) {
+        fixed[static_cast<std::size_t>(f)] = true;
+        level[static_cast<std::size_t>(f)] = t;
+        progressed = true;
+        push_stale = true;
+      }
+    }
+    if (!progressed) {
+      for (int f = 0; f < flows; ++f) {
+        if (!fixed[static_cast<std::size_t>(f)]) {
+          fixed[static_cast<std::size_t>(f)] = true;
+          level[static_cast<std::size_t>(f)] = t;
+        }
+      }
+    }
+    if (std::all_of(fixed.begin(), fixed.end(), [](bool b) { return b; }))
+      break;
+  }
+
+  LpProblem& lp = region.fresh_lp(/*extra_vars=*/0);
+  for (int f = 0; f < flows; ++f) {
+    double* row = lp.add_row(Relation::kGe,
+                             level[static_cast<std::size_t>(f)] * (1.0 - 1e-9));
+    row[f] = 1.0;
+  }
+  const LpSolution sol = region.solve_lp(LpStart::kCold);
+  OptimizerResult r;
+  if (sol.status != LpStatus::kOptimal) return r;
+  r.ok = true;
+  r.y.resize(static_cast<std::size_t>(flows));
+  for (int f = 0; f < flows; ++f)
+    r.y[static_cast<std::size_t>(f)] =
+        level[static_cast<std::size_t>(f)] * region.scale();
+  r.alpha_weights.assign(sol.x.begin() + flows, sol.x.end());
+  r.objective_value = *std::min_element(r.y.begin(), r.y.end());
+  return r;
+}
+
+/// A NetworkOptimizer bound to one input that counts its LP solves.
+class CountingRegion final : public RegionLp {
+ public:
+  explicit CountingRegion(const OptimizerInput& in) {
+    EXPECT_TRUE(inner_.bind(in));
+    flows_ = inner_.flows();
+    scale_ = inner_.scale();
+  }
+  LpProblem& fresh_lp(int extra_vars) override {
+    return inner_.fresh_lp(extra_vars);
+  }
+  LpSolution solve_lp(LpStart start) override {
+    ++solves;
+    return inner_.solve_lp(start);
+  }
+  bool region_duals(std::vector<double>& out) const override {
+    return inner_.region_duals(out);
+  }
+
+  int solves = 0;
+
+ private:
+  NetworkOptimizer inner_;
+};
+
+/// Random exact-tier region: each flow crosses each link with probability
+/// 0.4 (possibly none), each extreme point activates each link with
+/// probability 0.6.
+OptimizerInput random_region(RngStream& rng) {
+  const int links = rng.uniform_int(1, 6);
+  const int flows = rng.uniform_int(1, 6);
+  const int points = rng.uniform_int(1, 5);
+  OptimizerInput in;
+  in.routing = DenseMatrix(links, flows, 0.0);
+  for (int l = 0; l < links; ++l)
+    for (int f = 0; f < flows; ++f)
+      if (rng.bernoulli(0.4)) in.routing(l, f) = 1.0;
+  in.extreme_points = DenseMatrix(points, links, 0.0);
+  for (int k = 0; k < points; ++k)
+    for (int l = 0; l < links; ++l)
+      if (rng.bernoulli(0.6)) in.extreme_points(k, l) = rng.uniform(0.5e6, 5e6);
+  return in;
+}
+
+/// Runs both water-fillings on `in` and checks the certified one against
+/// the push-only reference: bit-identical levels, valid weights, and at
+/// least one LP solve per level plus one fewer.
+void expect_matches_push_only(const OptimizerInput& in,
+                              const std::string& what) {
+  CountingRegion now_region(in), ref_region(in);
+  const OptimizerResult now = water_fill(now_region);
+  const OptimizerResult ref = push_only_water_fill(ref_region);
+  ASSERT_EQ(now.ok, ref.ok) << what;
+  if (!ref.ok) return;
+  EXPECT_EQ(now.y, ref.y) << what;
+  EXPECT_EQ(now.objective_value, ref.objective_value) << what;
+
+  ASSERT_EQ(now.alpha_weights.size(),
+            static_cast<std::size_t>(in.extreme_points.rows()))
+      << what;
+  double wsum = 0.0;
+  for (double w : now.alpha_weights) {
+    // Simplex round-off leaves basic weights at a degenerate vertex a few
+    // ulps below 0 (the reference's pinned LP reaches -4.5e-9 on these
+    // regions).
+    EXPECT_GE(w, -1e-12) << what;
+    wsum += w;
+  }
+  EXPECT_NEAR(wsum, 1.0, 1e-9) << what;
+  const double scale = now_region.scale();
+  for (int l = 0; l < in.routing.rows(); ++l) {
+    double load = 0.0, budget = 0.0;
+    for (std::size_t f = 0; f < now.y.size(); ++f)
+      load += in.routing(l, static_cast<int>(f)) * now.y[f];
+    for (int k = 0; k < in.extreme_points.rows(); ++k)
+      budget += now.alpha_weights[static_cast<std::size_t>(k)] *
+                in.extreme_points(k, l);
+    EXPECT_LE(load, budget + 1e-9 * scale) << what << " link " << l;
+  }
+
+  // Every round's duals fix at least one flow without a push, and the
+  // pinned-levels LP is gone: at least one solve per level plus one fewer
+  // than the reference, so never more, and fewer wherever >= 2 flows
+  // share the first bottleneck.
+  std::vector<double> levels = ref.y;
+  std::sort(levels.begin(), levels.end());
+  levels.erase(std::unique(levels.begin(), levels.end()), levels.end());
+  EXPECT_LE(now_region.solves,
+            ref_region.solves - static_cast<int>(levels.size()) - 1)
+      << what;
+}
+
+TEST(WaterFill, MatchesPushOnlyOnRandomRegions) {
+  RngStream rng(83, "water-fill-differential");
+  for (int trial = 0; trial < 200; ++trial)
+    expect_matches_push_only(random_region(rng),
+                             "trial " + std::to_string(trial));
+}
+
+TEST(WaterFill, MatchesPushOnlyOnSymmetricBottleneck) {
+  // Four flows on one link: the t-LP's duals are degenerate.
+  OptimizerInput in;
+  in.routing = {{1.0, 1.0, 1.0, 1.0}, {1.0, 1.0, 1.0, 1.0}};
+  in.extreme_points = {{2.0e6, 0.0}, {0.0, 2.0e6}, {1.0e6, 1.0e6}};
+  expect_matches_push_only(in, "symmetric");
+}
+
+TEST(WaterFill, MatchesPushOnlyWithUnroutedFlow) {
+  // Flow 2 crosses no link, so only the unit-cap row bounds it.
+  OptimizerInput in;
+  in.routing = {{1.0, 1.0, 0.0}};
+  in.extreme_points = {{3.0}};
+  expect_matches_push_only(in, "unrouted");
+}
+
+TEST(WaterFill, MatchesPushOnlyWithZeroCapacityLink) {
+  // Flow 0's link never gets capacity, so the first level is t = 0.
+  OptimizerInput in;
+  in.routing = {{1.0, 0.0}, {0.0, 1.0}};
+  in.extreme_points = {{0.0, 1.0e6}};
+  CountingRegion region(in);
+  const OptimizerResult r = water_fill(region);
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.y[0], 0.0);
+  EXPECT_NEAR(r.y[1], 1.0e6, 1e-3);
+  expect_matches_push_only(in, "zero capacity");
+}
+
+TEST(WaterFill, MatchesPushOnlyWithLaterLevel) {
+  // Links 0 (capacity 1) and 1 (capacity 4) never interfere. Flows 0 and 1
+  // share link 0 at 1/2; flow 2 rises to 4 - 1/2 on link 1 in round two.
+  OptimizerInput in;
+  in.routing = {{1.0, 1.0, 0.0}, {1.0, 0.0, 1.0}};
+  in.extreme_points = {{1.0, 4.0}};
+  CountingRegion region(in);
+  const OptimizerResult r = water_fill(region);
+  ASSERT_TRUE(r.ok);
+  EXPECT_NEAR(r.y[0], 0.5, 1e-9);
+  EXPECT_NEAR(r.y[2], 3.5, 1e-9);
+  expect_matches_push_only(in, "later level");
+}
+
+TEST(WaterFill, BottleneckDualsAreNonPositiveAndSumToMinusOne) {
+  // max t s.t. y_f - t >= 0 on two flows sharing one unit link: t = 1/2,
+  // and tightening either flow's row by one unit lowers t by 1/2.
+  NetworkOptimizer region;
+  const OptimizerInput in = shared_link_two_flows();
+  ASSERT_TRUE(region.bind(in));
+  LpProblem& lp = region.fresh_lp(/*extra_vars=*/1);
+  const int t_var = lp.num_vars - 1;
+  const int first_flow_row = lp.num_constraints();
+  lp.objective[static_cast<std::size_t>(t_var)] = 1.0;
+  for (int f = 0; f < 2; ++f) {
+    double* row = lp.add_row(Relation::kGe, 0.0);
+    row[f] = 1.0;
+    row[t_var] = -1.0;
+  }
+  const LpSolution sol = region.solve_lp(LpStart::kCold);
+  ASSERT_EQ(sol.status, LpStatus::kOptimal);
+  EXPECT_NEAR(sol.x[static_cast<std::size_t>(t_var)], 0.5, 1e-12);
+  std::vector<double> duals;
+  EXPECT_TRUE(region.region_duals(duals));
+  ASSERT_EQ(duals.size(), static_cast<std::size_t>(first_flow_row + 2));
+  EXPECT_NEAR(duals[static_cast<std::size_t>(first_flow_row)], -0.5, 1e-12);
+  EXPECT_NEAR(duals[static_cast<std::size_t>(first_flow_row + 1)], -0.5,
+              1e-12);
 }
 
 }  // namespace
