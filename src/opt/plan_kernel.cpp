@@ -60,14 +60,15 @@ double line_search(const AlphaFairUtility& util, const std::vector<double>& z,
 /// round-off, and far below the >= 1/flows that the largest one reaches.
 constexpr double kBottleneckDual = 1e-9;
 
-/// Complete a water-filling result whose alpha_weights are set: y is the
-/// levels in bits/s, the objective their minimum.
-OptimizerResult& finish_levels(OptimizerResult& r,
-                               const std::vector<double>& level,
-                               double scale) {
+/// A water-filling result: y is the scaled `level`s in bits/s, carried by
+/// the schedule `weights`; the objective is the smallest level.
+OptimizerResult levels_result(const std::vector<double>& level, double scale,
+                              std::vector<double> weights) {
+  OptimizerResult r;
   r.ok = true;
   r.y.resize(level.size());
   for (std::size_t f = 0; f < level.size(); ++f) r.y[f] = level[f] * scale;
+  r.alpha_weights = std::move(weights);
   r.objective_value = *std::min_element(r.y.begin(), r.y.end());
   return r;
 }
@@ -143,7 +144,6 @@ OptimizerResult water_fill(RegionLp& region) {
   std::vector<bool> fixed(static_cast<std::size_t>(flows), false);
   std::vector<double> level(static_cast<std::size_t>(flows), 0.0);
   std::vector<double> duals;
-  OptimizerResult r;
 
   for (int round = 0; round < flows; ++round) {
     // Maximize t with y_f >= t for unfixed flows, y_f == level for fixed.
@@ -240,10 +240,9 @@ OptimizerResult water_fill(RegionLp& region) {
       // This t-LP's point has every flow >= its level, so its schedule
       // weights carry the levels. Columns a pricing oracle admitted
       // mid-solve sit after t_var.
-      r.alpha_weights.assign(sol.x.begin() + flows, sol.x.begin() + t_var);
-      r.alpha_weights.insert(r.alpha_weights.end(), sol.x.begin() + t_var + 1,
-                             sol.x.end());
-      return finish_levels(r, level, region.scale());
+      std::vector<double> weights(sol.x.begin() + flows, sol.x.end());
+      weights.erase(weights.begin() + (t_var - flows));
+      return levels_result(level, region.scale(), std::move(weights));
     }
   }
 
@@ -256,9 +255,9 @@ OptimizerResult water_fill(RegionLp& region) {
     row[f] = 1.0;
   }
   const LpSolution sol = region.solve_lp(LpStart::kCold);
-  if (sol.status != LpStatus::kOptimal) return r;
-  r.alpha_weights.assign(sol.x.begin() + flows, sol.x.end());
-  return finish_levels(r, level, region.scale());
+  if (sol.status != LpStatus::kOptimal) return OptimizerResult{};
+  return levels_result(level, region.scale(),
+                       {sol.x.begin() + flows, sol.x.end()});
 }
 
 OptimizerResult frank_wolfe(LinearOracle& oracle, const OptimizerResult& start,
