@@ -448,11 +448,28 @@ TEST(WaterFill, MatchesPushOnlyOnRandomRegions) {
 }
 
 TEST(WaterFill, MatchesPushOnlyOnSymmetricBottleneck) {
-  // Four flows on one link: the t-LP's duals are degenerate.
-  OptimizerInput in;
-  in.routing = {{1.0, 1.0, 1.0, 1.0}, {1.0, 1.0, 1.0, 1.0}};
-  in.extreme_points = {{2.0e6, 0.0}, {0.0, 2.0e6}, {1.0e6, 1.0e6}};
-  expect_matches_push_only(in, "symmetric");
+  // Symmetric flows share link 0 at one level where they also fill private
+  // links, so the t-LP is degenerate: its duals may certify the level
+  // through either kind of link, and a flow stuck at the level can get a
+  // zero dual. With four flows every row gets a nonzero dual; with only
+  // flows 1 and 2 on private links, some stuck flow keeps a zero dual and
+  // gets a push test.
+  OptimizerInput four;
+  four.routing = {{1.0, 1.0, 1.0, 1.0},
+                  {1.0, 0.0, 0.0, 0.0},
+                  {0.0, 1.0, 0.0, 0.0},
+                  {0.0, 0.0, 1.0, 0.0},
+                  {0.0, 0.0, 0.0, 1.0}};
+  four.extreme_points = {{4.0e6, 1.0e6, 1.0e6, 1.0e6, 1.0e6}};
+  expect_matches_push_only(four, "four symmetric flows");
+
+  OptimizerInput three;
+  three.routing = {{1.0, 1.0, 1.0}, {0.0, 1.0, 0.0}, {0.0, 0.0, 1.0}};
+  three.extreme_points = {{3.0e6, 1.0e6, 1.0e6}};
+  CountingRegion region(three);
+  ASSERT_TRUE(water_fill(region).ok);
+  EXPECT_GT(region.solves, 1);  // zero-dual flows were pushed
+  expect_matches_push_only(three, "two symmetric flows on private links");
 }
 
 TEST(WaterFill, MatchesPushOnlyWithUnroutedFlow) {
