@@ -42,11 +42,6 @@ LpSolution NetworkOptimizer::solve_lp(LpStart start) {
                                     : solver_.solve(problem_);
 }
 
-bool NetworkOptimizer::region_duals(std::vector<double>& out) const {
-  solver_.duals(out);
-  return true;
-}
-
 OptimizerResult NetworkOptimizer::solve(const OptimizerInput& input) {
   if (!bind(input)) return OptimizerResult{};
   return optimize(*this, cfg_);

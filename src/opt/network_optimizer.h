@@ -78,7 +78,10 @@ class NetworkOptimizer final : public RegionLp {
   LpProblem& fresh_lp(int extra_vars) override;
   [[nodiscard]] LpSolution solve_lp(LpStart start) override;
   /// The LP holds every extreme point, so its duals always certify.
-  [[nodiscard]] bool region_duals(std::vector<double>& out) const override;
+  [[nodiscard]] bool region_duals(std::vector<double>& out) const override {
+    solver_.duals(out);
+    return true;
+  }
 
  private:
   OptimizerConfig cfg_;
